@@ -223,12 +223,12 @@ func BenchmarkSolverZoo(b *testing.B) {
 // a warm n=64 solve heap-allocated ~440k objects — one Worker per
 // vertex per superstep plus per-superstep schedule and timing slices.
 // With scratch laid out once at compile, the same solve allocates well
-// under a thousand objects; the bound leaves margin for host-side
-// fork-join variance without letting per-vertex churn regress.
+// under a thousand objects; the bound leaves margin without letting
+// per-vertex churn regress.
 func TestWarmSolveAllocBudget(t *testing.T) {
 	cfg := ipu.MK2()
 	cfg.TilesPerIPU = 64
-	s, err := core.New(core.Options{Config: cfg, Parallelism: 1})
+	s, err := core.New(core.Options{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,4 +251,34 @@ func TestWarmSolveAllocBudget(t *testing.T) {
 		t.Fatalf("warm n=64 solve allocates %.0f objects, budget %d — per-superstep scratch reuse has regressed", avg, budget)
 	}
 	t.Logf("warm n=64 solve: %.0f allocs (budget %d, pre-scratch baseline ~440000)", avg, budget)
+}
+
+// TestColdSolveAllocBudget is the compile-path allocation ratchet: a
+// cold n=64 Mk2 solve through a fresh one-entry program cache pays
+// graph construction, verification and compilation, then the solve.
+// Compiling each compute set's exchange profile from dense per-tile
+// slices and a sorted read-key slice, instead of per-slice maps of
+// receiving tiles, and verifying it from per-tensor buckets took the
+// count from ~46.6k to ~20.8k; the budget keeps about 20% headroom over
+// that so the maps cannot come back unnoticed.
+func TestColdSolveAllocBudget(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	m := lsap.NewMatrix(64)
+	for i := range m.Data {
+		m.Data[i] = float64(1 + rng.Intn(640))
+	}
+	avg := testing.AllocsPerRun(3, func() {
+		s, err := core.New(core.Options{Config: ipu.MK2(), Cache: core.NewProgramCache(1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Solve(m.Clone()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const budget = 25000
+	if avg > budget {
+		t.Fatalf("cold n=64 solve allocates %.0f objects, budget %d — the compile path has regressed", avg, budget)
+	}
+	t.Logf("cold n=64 solve: %.0f allocs (budget %d, map-based compile ~46600)", avg, budget)
 }

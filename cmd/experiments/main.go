@@ -10,12 +10,12 @@
 //	experiments -table2 -fig5       # selected experiments
 //	experiments -all -full          # the published grid
 //	experiments -all -csv -outdir results/
-//	experiments -trajectory         # record BENCH_0010.json perf trajectory
+//	experiments -trajectory         # record BENCH_0014.json perf trajectory
 //
 // The -trajectory mode runs the benchmark-trajectory suite (modeled
 // IPU/GPU cycles, real CPU ns, allocs per solve, cold-vs-warm solve
 // latency over the compiled-program cache), writes the result to
-// <outdir>/BENCH_0010.json, and exits non-zero if any warm-cache solve
+// <outdir>/BENCH_0014.json, and exits non-zero if any warm-cache solve
 // still paid graph construction — the invariant CI enforces.
 package main
 

@@ -356,7 +356,7 @@ func (d *daemon) handleSolve(w http.ResponseWriter, r *http.Request) {
 		Assignment: res.Assignment,
 		Cost:       res.Cost,
 		Device:     res.Device.String(),
-		FellBack:   res.Report != nil && res.Report.FellBack,
+		FellBack:   res.Report.FellBack, // non-nil on every successful solve
 		Attempts:   len(res.Report.Attempts),
 		ModeledUS:  res.Modeled.Microseconds(),
 		WallUS:     res.Wall.Microseconds(),
@@ -393,6 +393,29 @@ func writeError(w http.ResponseWriter, status int, code, msg string) {
 	_ = json.NewEncoder(w).Encode(errorResponse{Error: msg, Code: code})
 }
 
+// Connection timeouts. A client must send its request headers within
+// readHeaderTimeout and its whole request, body included (up to the
+// 64 MiB cap), within readTimeout; an idle keep-alive connection is
+// closed after idleTimeout. No write timeout: a solve may legitimately
+// run for as long as its deadline allows.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 2 * time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds hunipud's HTTP server, so a slow or stalled
+// client cannot hold a connection open indefinitely.
+func newHTTPServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func run() error {
 	f := parseFlags()
 	// Rebound the compiled-program cache before the first solve so a
@@ -411,7 +434,7 @@ func run() error {
 		return err
 	}
 	_, handler := newDaemonQuality(srv, f.deadline, quality)
-	httpSrv := &http.Server{Addr: f.addr, Handler: handler}
+	httpSrv := newHTTPServer(f.addr, handler)
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
 	defer stop()

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -60,8 +61,47 @@ func TestSolveEndpoint(t *testing.T) {
 	if out.Cost != 5 || len(out.Assignment) != 3 {
 		t.Fatalf("response = %+v, want cost 5 with 3 assignments", out)
 	}
-	if out.Device != "IPU" || out.FellBack {
-		t.Fatalf("response = %+v, want clean IPU serve", out)
+	if out.Device != "IPU" || out.FellBack || out.Attempts != 1 {
+		t.Fatalf("response = %+v, want clean IPU serve in one attempt", out)
+	}
+}
+
+// TestStalledHeaderDisconnected checks that hunipud's server carries
+// its connection timeouts, and that a client which stops mid-header is
+// disconnected instead of holding the connection open.
+func TestStalledHeaderDisconnected(t *testing.T) {
+	srv, err := serve.New(serve.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Shutdown(context.Background()) })
+	_, handler := newDaemon(srv, 0)
+	hs := newHTTPServer("", handler)
+	if hs.ReadHeaderTimeout != readHeaderTimeout || hs.ReadTimeout != readTimeout || hs.IdleTimeout != idleTimeout {
+		t.Fatalf("timeouts = %v/%v/%v, want %v/%v/%v", hs.ReadHeaderTimeout, hs.ReadTimeout, hs.IdleTimeout,
+			readHeaderTimeout, readTimeout, idleTimeout)
+	}
+	// The same server with the header timeout shortened, so the test
+	// need not wait out the production value.
+	hs.ReadHeaderTimeout = 100 * time.Millisecond
+	ts := httptest.NewUnstartedServer(handler)
+	ts.Config = hs
+	ts.Start()
+	defer ts.Close()
+
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /solve HTTP/1.1\r\nHost: hunipud\r\nContent-Type: appl"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_ = conn.SetReadDeadline(start.Add(10 * time.Second))
+	_, err = io.ReadAll(conn) // returns once the server hangs up
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("connection still open after %v with a stalled header", time.Since(start))
 	}
 }
 

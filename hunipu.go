@@ -133,7 +133,9 @@ type Result struct {
 	// Wall is the real time the call took end to end.
 	Wall time.Duration
 	// Report describes fault recovery and device fallback during the
-	// solve; see the Report type in reliability.go.
+	// solve; see the Report type in reliability.go. Every Result from
+	// Solve or SolveContext carries one, with at least one attempt;
+	// SolveKBest and SolveBottleneck try no devices and leave it nil.
 	Report *Report
 	// Quality is the tier that served the request: Exact (the default)
 	// or Bounded(ε) when WithQuality degraded the solve. Gap is the

@@ -188,6 +188,26 @@ func TestMaximizeRoundTrip(t *testing.T) {
 
 // TestDeviceStringUnknown pins the Stringer output, including the
 // fallback for out-of-range device values.
+// TestSolveAlwaysReports pins the Report contract callers such as
+// hunipud rely on: every successful Solve, on every device and quality
+// tier, empty matrices included, returns a Report with the serving
+// attempt in it.
+func TestSolveAlwaysReports(t *testing.T) {
+	for _, dev := range []Option{OnIPU(), OnGPU(), OnCPU()} {
+		for _, q := range []Quality{Exact(), Bounded(0.1)} {
+			for _, costs := range [][][]float64{{}, {{4, 1, 3}, {2, 0, 5}, {3, 2, 2}}} {
+				res, err := Solve(costs, dev, WithQuality(q))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Report == nil || len(res.Report.Attempts) == 0 {
+					t.Fatalf("%v %v n=%d: Report = %+v, want the serving attempt", res.Device, q, len(costs), res.Report)
+				}
+			}
+		}
+	}
+}
+
 func TestDeviceStringUnknown(t *testing.T) {
 	cases := []struct {
 		d    Device

@@ -36,7 +36,7 @@ const (
 // TrajectoryID names the trajectory file this source tree emits.
 // Convention: BENCH_<4-digit PR ordinal>, matching the PR that
 // established (or last re-baselined) the measurement.
-const TrajectoryID = "BENCH_0010"
+const TrajectoryID = "BENCH_0014"
 
 // Trajectory is one recorded run of the suite. Field order is the
 // serialization order (encoding/json emits struct fields in
@@ -46,7 +46,7 @@ type Trajectory struct {
 	// Schema and Version identify the file format.
 	Schema  string `json:"schema"`
 	Version int    `json:"version"`
-	// ID is the trajectory name, e.g. "BENCH_0010".
+	// ID is the trajectory name, e.g. "BENCH_0014".
 	ID string `json:"id"`
 	// Seed drove every workload generator.
 	Seed int64 `json:"seed"`

@@ -55,10 +55,6 @@ type Options struct {
 	// on different tiles, so every row-status step pays exchange.
 	Use2D bool
 
-	// Parallelism is host-side execution parallelism (no effect on
-	// modeled cycles). 0 means GOMAXPROCS.
-	Parallelism int
-
 	// MaxSupersteps bounds execution as a safety net. 0 means 2^40.
 	MaxSupersteps int64
 

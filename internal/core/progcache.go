@@ -48,7 +48,6 @@ type programKey struct {
 	retryBackoff    time.Duration
 	checkpointEvery int64
 	maxSupersteps   int64
-	parallelism     int
 	checkInvariants bool
 
 	fault faultinject.Injector
@@ -66,10 +65,10 @@ func (k programKey) Fingerprint() string {
 	if k.owner != nil {
 		private = fmt.Sprintf(" private=%p", k.owner)
 	}
-	return fmt.Sprintf("n=%d dev=%s tiles=%d seg=%d threads=%d rpt=%d compress=%v 2d=%v eps=%g guard=%s retries=%d backoff=%s cp=%d maxss=%d par=%d inv=%v fault=%s%s",
+	return fmt.Sprintf("n=%d dev=%s tiles=%d seg=%d threads=%d rpt=%d compress=%v 2d=%v eps=%g guard=%s retries=%d backoff=%s cp=%d maxss=%d inv=%v fault=%s%s",
 		k.n, k.cfg.Name, k.cfg.Tiles(), k.colSegment, k.threadsPerRow, k.rowsPerTile,
 		!k.disableCompression, k.use2D, k.epsilon, k.guard, k.maxRetries, k.retryBackoff,
-		k.checkpointEvery, k.maxSupersteps, k.parallelism, k.checkInvariants, fault, private)
+		k.checkpointEvery, k.maxSupersteps, k.checkInvariants, fault, private)
 }
 
 // CompiledProgram is one shape's reusable artefact: the laid-out
@@ -324,7 +323,6 @@ func (s *Solver) keyFor(n int) programKey {
 		retryBackoff:       o.RetryBackoff,
 		checkpointEvery:    o.CheckpointEvery,
 		maxSupersteps:      o.MaxSupersteps,
-		parallelism:        o.Parallelism,
 		checkInvariants:    o.CheckInvariants,
 	}
 	if o.Fault != nil {
@@ -377,9 +375,6 @@ func (s *Solver) compileProgram(n int) (*CompiledProgram, error) {
 	}
 	if s.opts.CheckpointEvery > 0 {
 		engOpts = append(engOpts, poplar.WithCheckpointEvery(s.opts.CheckpointEvery))
-	}
-	if s.opts.Parallelism != 0 {
-		engOpts = append(engOpts, poplar.WithParallelism(s.opts.Parallelism))
 	}
 	if s.opts.MaxSupersteps != 0 {
 		engOpts = append(engOpts, poplar.WithMaxSupersteps(s.opts.MaxSupersteps))

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -13,6 +14,7 @@ import (
 	"hunipu/internal/cpuhung"
 	"hunipu/internal/ipu"
 	"hunipu/internal/lsap"
+	"hunipu/internal/poplar"
 )
 
 // testOptions shrinks the device for fast unit tests while keeping the
@@ -458,6 +460,41 @@ func TestSolveProfileBreakdown(t *testing.T) {
 	for i := 1; i < len(r.Profile); i++ {
 		if r.Profile[i].ComputeCycles > r.Profile[i-1].ComputeCycles {
 			t.Fatal("profile not sorted by compute cycles")
+		}
+	}
+}
+
+// TestWarmProfileMatchesCold pins per-solve telemetry on a cached
+// program: the profile and trace of each warm solve describe that solve
+// alone, so they equal the cold solve's instead of accumulating.
+func TestWarmProfileMatchesCold(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	m := randomIntMatrix(rng, 24, 120)
+	o := testOptions()
+	o.Profile = true
+	var trace bytes.Buffer
+	o.TraceWriter = &trace
+	s := newSolver(t, o)
+	var coldProfile []poplar.CSProfile
+	var coldTrace string
+	for i := 0; i < 3; i++ {
+		trace.Reset()
+		r, err := s.SolveDetailed(m.Clone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Cached != (i > 0) {
+			t.Fatalf("solve %d: Cached = %v", i, r.Cached)
+		}
+		if i == 0 {
+			coldProfile, coldTrace = r.Profile, trace.String()
+			continue
+		}
+		if !reflect.DeepEqual(r.Profile, coldProfile) {
+			t.Fatalf("warm solve %d profile differs from the cold solve's:\nwarm %+v\ncold %+v", i, r.Profile, coldProfile)
+		}
+		if trace.String() != coldTrace {
+			t.Fatalf("warm solve %d trace differs from the cold solve's (%d vs %d bytes)", i, trace.Len(), len(coldTrace))
 		}
 	}
 }

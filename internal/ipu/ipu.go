@@ -330,54 +330,47 @@ func (d *Device) MaxAllocated() int64 {
 	return max
 }
 
+// Exchange is the static traffic profile of one BSP exchange phase.
+// On the IPU every exchange is compiled into the program, so a compute
+// set's profile is fixed when it compiles and each superstep only
+// charges it.
+type Exchange struct {
+	// MaxBytes is the busiest tile port's traffic, in either direction;
+	// it gates the phase's duration.
+	MaxBytes int64
+	// TotalBytes is the traffic moved, each byte counted once (on the
+	// receiving side). A zero total charges no exchange phase at all.
+	TotalBytes int64
+	// CrossBytes is the portion of TotalBytes that crossed chips.
+	CrossBytes int64
+}
+
 // Superstep charges one BSP superstep: the compute phase costs the
-// slowest tile's time (C3), the sync phase a fixed overhead, and the
-// exchange phase prices the heaviest tile's traffic against the fabric
-// bandwidth (plus a latency if anything moved at all).
-//
-// tileCycles holds per-tile compute time for tiles that ran vertices;
-// bytesIn/bytesOut hold per-tile exchange traffic (either may be nil).
-// crossIPUBytes is the portion of traffic that crossed chips.
-func (d *Device) Superstep(tileCycles map[int]int64, bytesIn, bytesOut map[int]int64, crossIPUBytes int64, vertices int64) {
+// slowest tile's time maxCompute (C3), the sync phase a fixed overhead,
+// and the exchange phase prices the heaviest tile's traffic against the
+// fabric bandwidth (plus a latency if anything moved at all).
+func (d *Device) Superstep(maxCompute int64, ex Exchange, vertices int64) {
 	d.stats.Supersteps++
 	d.stats.VerticesRun += vertices
-	var maxCompute int64
-	//hunipulint:ignore nodeterminism commutative max reduction; order-independent
-	for _, c := range tileCycles {
-		if c > maxCompute {
-			maxCompute = c
-		}
-	}
 	d.stats.ComputeCycles += maxCompute
 	d.stats.SyncCycles += d.cfg.SyncCycles
+	d.chargeExchange(ex)
+}
 
-	// Every byte moved appears once in bytesIn (receiver side) and once
-	// in bytesOut (sender side); total traffic is counted once, while
-	// the phase duration is gated by the busiest port in either
-	// direction.
-	var maxBytes, total int64
-	//hunipulint:ignore nodeterminism commutative sum/max reduction; order-independent
-	for _, b := range bytesIn {
-		total += b
-		if b > maxBytes {
-			maxBytes = b
-		}
+// chargeExchange prices one exchange phase: a latency plus the busiest
+// port's bytes at the on-chip rate, plus the cross-chip bytes spread
+// over every tile's IPU-Link share. An empty phase costs nothing.
+func (d *Device) chargeExchange(ex Exchange) {
+	if ex.TotalBytes <= 0 {
+		return
 	}
-	//hunipulint:ignore nodeterminism commutative max reduction; order-independent
-	for _, b := range bytesOut {
-		if b > maxBytes {
-			maxBytes = b
-		}
+	cyc := d.cfg.ExchangeLatencyCycles +
+		int64(float64(ex.MaxBytes)/d.cfg.ExchangeBytesPerCycle)
+	if ex.CrossBytes > 0 {
+		cyc += int64(float64(ex.CrossBytes) / float64(d.cfg.Tiles()) / d.cfg.InterIPUBytesPerCycle)
 	}
-	if total > 0 {
-		ex := d.cfg.ExchangeLatencyCycles +
-			int64(float64(maxBytes)/d.cfg.ExchangeBytesPerCycle)
-		if crossIPUBytes > 0 {
-			ex += int64(float64(crossIPUBytes) / float64(d.cfg.Tiles()) / d.cfg.InterIPUBytesPerCycle)
-		}
-		d.stats.ExchangeCycles += ex
-		d.stats.BytesExchanged += total
-	}
+	d.stats.ExchangeCycles += cyc
+	d.stats.BytesExchanged += ex.TotalBytes
 }
 
 // ChargeSync adds one bare synchronisation (used by control-flow
@@ -393,15 +386,7 @@ func (d *Device) ChargeSync() {
 // of the original frame, but it is a repair inside one BSP superstep,
 // so the lockstep clocks of the other chips stay aligned.
 func (d *Device) ChargeExchange(bytes, crossIPUBytes int64) {
-	if bytes <= 0 {
-		return
-	}
-	ex := d.cfg.ExchangeLatencyCycles + int64(float64(bytes)/d.cfg.ExchangeBytesPerCycle)
-	if crossIPUBytes > 0 {
-		ex += int64(float64(crossIPUBytes) / float64(d.cfg.Tiles()) / d.cfg.InterIPUBytesPerCycle)
-	}
-	d.stats.ExchangeCycles += ex
-	d.stats.BytesExchanged += bytes
+	d.chargeExchange(Exchange{MaxBytes: bytes, TotalBytes: bytes, CrossBytes: crossIPUBytes})
 }
 
 // ChargeGuard prices n cycles of guard-layer work (checksum updates,

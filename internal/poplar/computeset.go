@@ -1,6 +1,10 @@
 package poplar
 
-import "fmt"
+import (
+	"fmt"
+
+	"hunipu/internal/ipu"
+)
 
 // Worker is the execution context handed to a codelet. It accumulates
 // the vertex's modeled work in thread-cycles; helpers encode the cost
@@ -53,25 +57,22 @@ type ComputeSet struct {
 	id       int
 	vertices []*Vertex
 
-	// compiled state (filled by Engine.compile)
-	compiled   bool
-	exchIn     map[int]int64 // per-tile bytes received before compute
-	exchOut    map[int]int64 // per-tile bytes sent
-	crossBytes int64         // traffic crossing chips
-	byTile     map[int][]*Vertex
-	// Per-superstep execution scratch, laid out at compile time so the
-	// hot superstep loop (Engine.runComputeSet) allocates nothing:
-	// tiles is byTile's key set sorted ascending; tileCycles[i] and
-	// tileThreads[i] are the per-vertex-cycle and per-thread scratch of
-	// tiles[i]; timeScratch collects tile times in the fork-join path.
-	// Safe to reuse across runs — a compiled program serializes runs
-	// (see core.CompiledProgram), and within one superstep concurrent
-	// workers touch disjoint tile indices.
-	tiles       []int
+	// compiled state (filled by Engine.compileComputeSet)
+	compiled bool
+	// exch is the static exchange profile every execution charges: on
+	// the IPU a compute set's exchange is fixed when it compiles.
+	exch ipu.Exchange
+	// Per-superstep execution schedule and scratch, laid out at compile
+	// time so the hot superstep loop (Engine.runComputeSet) allocates
+	// nothing: tileVerts[i] holds one tile's vertices in declaration
+	// order (tiles ascending), and tileCycles[i], tileThreads[i] and
+	// tileWorkers[i] are that tile's per-vertex-cycle, per-thread and
+	// worker scratch. Safe to reuse across runs — a compiled program
+	// serializes runs (see core.CompiledProgram).
+	tileVerts   [][]*Vertex
 	tileCycles  [][]int64
 	tileThreads [][]int64
 	tileWorkers []Worker
-	timeScratch []int64
 }
 
 // AddComputeSet declares a new, empty compute set.

@@ -1,11 +1,11 @@
 package poplar
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"runtime"
+	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"hunipu/internal/ipu"
@@ -13,17 +13,6 @@ import (
 
 // EngineOption configures engine behaviour.
 type EngineOption func(*Engine)
-
-// WithParallelism sets how many OS threads execute vertices of one
-// compute set concurrently (host-side speed only; modeled cycles are
-// identical at any parallelism). Default: runtime.NumCPU().
-func WithParallelism(n int) EngineOption {
-	return func(e *Engine) {
-		if n > 0 {
-			e.parallel = n
-		}
-	}
-}
 
 // WithMaxSupersteps bounds execution as a runaway-loop backstop: a
 // RepeatWhileTrue whose predicate never clears fails instead of
@@ -36,14 +25,14 @@ func WithMaxSupersteps(n int64) EngineOption {
 	}
 }
 
-// WithProfiling collects a per-compute-set execution profile,
-// retrievable with Engine.Profile after Run.
+// WithProfiling collects a per-compute-set execution profile of each
+// run, retrievable with Engine.Profile after it.
 func WithProfiling() EngineOption {
-	return func(e *Engine) { e.profile = map[string]*CSProfile{} }
+	return func(e *Engine) { e.profiling = true }
 }
 
 // CSProfile is the accumulated profile of one compute set across all
-// of its executions.
+// of its executions in one run.
 type CSProfile struct {
 	Name          string
 	Executions    int64
@@ -59,16 +48,20 @@ type Engine struct {
 	graph    *Graph
 	program  Program
 	dev      *ipu.Device
-	parallel int
 	maxSteps int64
 
 	compiledCS map[int]bool
 	verified   *VerifyReport
-	profile    map[string]*CSProfile
-	trace      *traceLog
-	scratch    struct {
-		tileTime map[int]int64
-	}
+	// profile is indexed by compute-set id; an entry exists from the
+	// compute set's compilation on (nil without WithProfiling).
+	profiling bool
+	profile   []CSProfile
+	trace     *traceLog
+	// Compile-time scratch, released once NewEngine has compiled the
+	// program (see compileComputeSet).
+	tally    exchangeTally
+	readKeys []readKey
+	tileSlot []int
 
 	// Recovery state (see recovery.go).
 	ctx          context.Context
@@ -103,11 +96,9 @@ func NewEngine(g *Graph, program Program, dev *ipu.Device, opts ...EngineOption)
 		graph:      g,
 		program:    program,
 		dev:        dev,
-		parallel:   runtime.NumCPU(),
 		maxSteps:   1 << 40,
 		compiledCS: map[int]bool{},
 	}
-	e.scratch.tileTime = map[int]int64{}
 	for _, o := range opts {
 		o(e)
 	}
@@ -136,6 +127,7 @@ func NewEngine(g *Graph, program Program, dev *ipu.Device, opts ...EngineOption)
 	if err := program.compile(e); err != nil {
 		return nil, err
 	}
+	e.tally, e.readKeys, e.tileSlot = exchangeTally{}, nil, nil
 	return e, nil
 }
 
@@ -148,13 +140,29 @@ func (e *Engine) Device() *ipu.Device { return e.dev }
 // the C4 hot-spot flags for inspection.
 func (e *Engine) VerifyReport() *VerifyReport { return e.verified }
 
-// Profile returns the per-compute-set profiles collected so far,
-// sorted by descending compute cycles. Empty without WithProfiling.
+// Profile returns the per-compute-set profiles of the latest run,
+// sorted by descending compute cycles. Compute sets that share a name
+// are reported as one entry; those that never executed are left out.
+// Empty without WithProfiling.
 func (e *Engine) Profile() []CSProfile {
 	out := make([]CSProfile, 0, len(e.profile))
 	for _, p := range e.profile {
-		out = append(out, *p)
+		if p.Executions > 0 {
+			out = append(out, p)
+		}
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	merged := out[:0]
+	for _, p := range out {
+		if n := len(merged); n > 0 && merged[n-1].Name == p.Name {
+			merged[n-1].Executions += p.Executions
+			merged[n-1].ComputeCycles += p.ComputeCycles
+			merged[n-1].Vertices += p.Vertices
+			continue
+		}
+		merged = append(merged, p)
+	}
+	out = merged
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].ComputeCycles != out[j].ComputeCycles {
 			return out[i].ComputeCycles > out[j].ComputeCycles
@@ -162,6 +170,18 @@ func (e *Engine) Profile() []CSProfile {
 		return out[i].Name < out[j].Name
 	})
 	return out
+}
+
+// resetTelemetry clears the profile and trace at the start of a run, so
+// both describe one run (retries included) however many runs the
+// engine has served.
+func (e *Engine) resetTelemetry() {
+	for i := range e.profile {
+		e.profile[i] = CSProfile{Name: e.profile[i].Name}
+	}
+	if e.trace != nil {
+		e.trace.events = e.trace.events[:0]
+	}
 }
 
 // Run executes the program once. Equivalent to RunContext with a
@@ -182,6 +202,71 @@ type access struct {
 	write      bool
 }
 
+// exchangeTally accumulates one exchange phase's per-tile traffic in
+// dense slices indexed by tile, then folds it into an ipu.Exchange.
+type exchangeTally struct {
+	cfg     ipu.Config
+	in, out []int64
+	cross   int64
+}
+
+// reset prepares an empty tally for the graph's tiles.
+func (x *exchangeTally) reset(cfg ipu.Config) {
+	x.cfg = cfg
+	if len(x.in) != cfg.Tiles() {
+		x.in = make([]int64, cfg.Tiles())
+		x.out = make([]int64, cfg.Tiles())
+	} else {
+		clear(x.in)
+		clear(x.out)
+	}
+	x.cross = 0
+}
+
+// send records b bytes moving point to point from one tile to another.
+func (x *exchangeTally) send(from, to int, b int64) {
+	x.out[from] += b
+	x.in[to] += b
+	if x.cfg.IPUOf(from) != x.cfg.IPUOf(to) {
+		x.cross += b
+	}
+}
+
+// exchange folds the tally: every byte appears once on the receiving
+// side (the total) and once on the sending side, and the phase is gated
+// by the busiest port in either direction.
+func (x *exchangeTally) exchange() ipu.Exchange {
+	ex := ipu.Exchange{CrossBytes: x.cross}
+	for _, b := range x.in {
+		ex.TotalBytes += b
+		ex.MaxBytes = max(ex.MaxBytes, b)
+	}
+	for _, b := range x.out {
+		ex.MaxBytes = max(ex.MaxBytes, b)
+	}
+	return ex
+}
+
+// readKey is one declared read of a tensor slice by a receiving tile.
+type readKey struct {
+	t          *Tensor
+	start, end int
+	tile       int
+}
+
+func compareReadKeys(a, b readKey) int {
+	if c := cmp.Compare(a.t.id, b.t.id); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.start, b.start); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.end, b.end); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.tile, b.tile)
+}
+
 // compileComputeSet validates the compute set and precomputes its
 // static exchange profile and per-tile vertex schedule.
 func (e *Engine) compileComputeSet(cs *ComputeSet) error {
@@ -190,15 +275,18 @@ func (e *Engine) compileComputeSet(cs *ComputeSet) error {
 	}
 	e.compiledCS[cs.id] = true
 	cs.compiled = true
-	cs.exchIn = map[int]int64{}
-	cs.exchOut = map[int]int64{}
-	cs.byTile = map[int][]*Vertex{}
 	cfg := e.graph.cfg
+	if e.profiling {
+		if cs.id >= len(e.profile) {
+			e.profile = append(e.profile, make([]CSProfile, cs.id+1-len(e.profile))...)
+		}
+		e.profile[cs.id] = CSProfile{Name: cs.Name}
+	}
 
 	// Vertex validation and race detection live in Verify (see
 	// verify.go), which NewEngine runs before any compilation; this
 	// pass only keeps the structural checks needed when a compute set
-	// is compiled directly in tests, then builds the schedule.
+	// is compiled directly in tests.
 	for vi, v := range cs.vertices {
 		if v.Tile < 0 || v.Tile >= cfg.Tiles() {
 			return fmt.Errorf("poplar: compute set %q vertex %d on invalid tile %d", cs.Name, vi, v.Tile)
@@ -216,25 +304,8 @@ func (e *Engine) compileComputeSet(cs *ComputeSet) error {
 				return fmt.Errorf("poplar: compute set %q vertex %d: nil tensor ref", cs.Name, vi)
 			}
 		}
-		cs.byTile[v.Tile] = append(cs.byTile[v.Tile], v)
 	}
-
-	// Lay out the per-superstep execution scratch once: the sorted tile
-	// schedule plus each tile's cycle and thread buffers.
-	tiles := make([]int, 0, len(cs.byTile))
-	for t := range cs.byTile {
-		tiles = append(tiles, t)
-	}
-	sort.Ints(tiles)
-	cs.tiles = tiles
-	cs.tileCycles = make([][]int64, len(cs.tiles))
-	cs.tileThreads = make([][]int64, len(cs.tiles))
-	for i, t := range cs.tiles {
-		cs.tileCycles[i] = make([]int64, len(cs.byTile[t]))
-		cs.tileThreads[i] = make([]int64, cfg.ThreadsPerTile)
-	}
-	cs.tileWorkers = make([]Worker, len(cs.tiles))
-	cs.timeScratch = make([]int64, len(cs.tiles))
+	e.layoutSchedule(cs)
 
 	// Static exchange profile: any declared slice not resident on the
 	// vertex's tile moves over the fabric. Reads are deduplicated per
@@ -243,80 +314,105 @@ func (e *Engine) compileComputeSet(cs *ComputeSet) error {
 	// fabric multicasts, which is what makes the column-state
 	// broadcasts of HunIPU's Steps 4 and 6 affordable. Writes are
 	// point-to-point and charged per vertex.
-	type sliceKey struct {
-		t          *Tensor
-		start, end int
-	}
-	readers := map[sliceKey]map[int]bool{}
+	x := &e.tally
+	x.reset(cfg)
+	keys := e.readKeys[:0]
 	for _, v := range cs.vertices {
 		for _, r := range v.reads {
-			k := sliceKey{r.T, r.Start, r.End}
-			if readers[k] == nil {
-				readers[k] = map[int]bool{}
+			// A read resident on the vertex's own tile moves nothing.
+			if !r.T.residentOn(r.Start, r.End, v.Tile) {
+				keys = append(keys, readKey{r.T, r.Start, r.End, v.Tile})
 			}
-			readers[k][v.Tile] = true
 		}
 		for _, r := range v.writes {
 			bytes := int64(r.T.DType.DeviceBytes())
 			r.T.regionsIn(r.Start, r.End, func(s, eEnd, homeTile int) {
-				if homeTile == v.Tile {
-					return
-				}
-				b := int64(eEnd-s) * bytes
-				cs.exchOut[v.Tile] += b
-				cs.exchIn[homeTile] += b
-				if cfg.IPUOf(homeTile) != cfg.IPUOf(v.Tile) {
-					cs.crossBytes += b
+				if homeTile != v.Tile {
+					x.send(v.Tile, homeTile, int64(eEnd-s)*bytes)
 				}
 			})
 		}
 	}
-	// Charge multicast reads in a deterministic order: slices sorted by
-	// (tensor, start, end), receiving tiles sorted ascending.
-	keys := make([]sliceKey, 0, len(readers))
-	for k := range readers {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.t.id != b.t.id {
-			return a.t.id < b.t.id
+	// Sorting groups each slice's receiving tiles (ascending) together;
+	// dropping exact duplicates leaves one read per (slice, tile).
+	slices.SortFunc(keys, compareReadKeys)
+	keys = slices.Compact(keys)
+	e.readKeys = keys
+	for lo := 0; lo < len(keys); {
+		k := keys[lo]
+		hi := lo + 1
+		for hi < len(keys) && keys[hi].t == k.t && keys[hi].start == k.start && keys[hi].end == k.end {
+			hi++
 		}
-		if a.start != b.start {
-			return a.start < b.start
-		}
-		return a.end < b.end
-	})
-	for _, k := range keys {
-		tileSet := readers[k]
-		tiles := make([]int, 0, len(tileSet))
-		for tile := range tileSet {
-			tiles = append(tiles, tile)
-		}
-		sort.Ints(tiles)
+		group := keys[lo:hi]
 		bytes := int64(k.t.DType.DeviceBytes())
 		k.t.regionsIn(k.start, k.end, func(s, eEnd, homeTile int) {
 			b := int64(eEnd-s) * bytes
 			sent := false
 			crossed := false
-			for _, tile := range tiles {
-				if tile == homeTile {
+			for _, r := range group {
+				if r.tile == homeTile {
 					continue
 				}
-				cs.exchIn[tile] += b
+				x.in[r.tile] += b
 				sent = true
-				if cfg.IPUOf(homeTile) != cfg.IPUOf(tile) && !crossed {
+				if cfg.IPUOf(homeTile) != cfg.IPUOf(r.tile) && !crossed {
 					// One multicast crosses the IPU link once.
-					cs.crossBytes += b
+					x.cross += b
 					crossed = true
 				}
 			}
 			if sent {
-				cs.exchOut[homeTile] += b
+				x.out[homeTile] += b
 			}
 		})
+		lo = hi
 	}
+	cs.exch = x.exchange()
 	return nil
+}
+
+// layoutSchedule groups the compute set's vertices by tile (tiles
+// ascending, vertices in declaration order) and carves each tile's
+// execution scratch out of a few shared backing arrays.
+func (e *Engine) layoutSchedule(cs *ComputeSet) {
+	cfg := e.graph.cfg
+	if len(e.tileSlot) != cfg.Tiles() {
+		e.tileSlot = make([]int, cfg.Tiles())
+	}
+	count := e.tileSlot
+	clear(count)
+	var tiles []int
+	for _, v := range cs.vertices {
+		if count[v.Tile] == 0 {
+			tiles = append(tiles, v.Tile)
+		}
+		count[v.Tile]++
+	}
+	slices.Sort(tiles)
+
+	nt, threads := len(tiles), cfg.ThreadsPerTile
+	verts := make([]*Vertex, len(cs.vertices))
+	cycles := make([]int64, len(cs.vertices))
+	threadBuf := make([]int64, nt*threads)
+	cs.tileVerts = make([][]*Vertex, nt)
+	cs.tileCycles = make([][]int64, nt)
+	cs.tileThreads = make([][]int64, nt)
+	cs.tileWorkers = make([]Worker, nt)
+	off := 0
+	for i, t := range tiles {
+		n := count[t]
+		cs.tileVerts[i] = verts[off : off : off+n]
+		cs.tileCycles[i] = cycles[off : off+n : off+n]
+		cs.tileThreads[i] = threadBuf[i*threads : (i+1)*threads : (i+1)*threads]
+		// From here on count maps a tile to its schedule index.
+		count[t] = i
+		off += n
+	}
+	for _, v := range cs.vertices {
+		i := count[v.Tile]
+		cs.tileVerts[i] = append(cs.tileVerts[i], v)
+	}
 }
 
 // runComputeSet executes every vertex and charges one BSP superstep.
@@ -326,63 +422,26 @@ func (e *Engine) compileComputeSet(cs *ComputeSet) error {
 //
 //hunipulint:hotpath
 func (e *Engine) runComputeSet(cs *ComputeSet) error {
-	tileTime := e.scratch.tileTime
-	clear(tileTime)
 	cfg := e.graph.cfg
-	tiles := cs.tiles
-
-	if e.parallel <= 1 || len(cs.vertices) < 128 {
-		for i, t := range tiles {
-			tileTime[t] = runTileVertices(cfg, cs, i)
-		}
-	} else {
-		times := cs.timeScratch
-		var wg sync.WaitGroup
-		chunk := (len(tiles) + e.parallel - 1) / e.parallel
-		for lo := 0; lo < len(tiles); lo += chunk {
-			hi := lo + chunk
-			if hi > len(tiles) {
-				hi = len(tiles)
-			}
-			wg.Add(1)
-			//hunipulint:ignore hotalloc fork-join launch: one closure per worker chunk, amortized over the whole superstep
-			go func(lo, hi int) {
-				defer wg.Done()
-				for i := lo; i < hi; i++ {
-					times[i] = runTileVertices(cfg, cs, i)
-				}
-			}(lo, hi)
-		}
-		wg.Wait()
-		for i, t := range tiles {
-			tileTime[t] = times[i]
-		}
+	var maxCompute int64
+	for i := range cs.tileVerts {
+		maxCompute = max(maxCompute, runTileVertices(cfg, cs, i))
 	}
-
-	if e.trace != nil {
-		start := e.dev.Stats().TotalCycles()
-		defer func(start int64) {
-			e.trace.record(cs.Name, start, e.dev.Stats().TotalCycles(), len(cs.vertices))
-		}(start)
-	}
-	if e.profile != nil {
-		p := e.profile[cs.Name]
-		if p == nil {
-			p = &CSProfile{Name: cs.Name}
-			e.profile[cs.Name] = p
-		}
+	vertices := int64(len(cs.vertices))
+	if e.profiling {
+		p := &e.profile[cs.id]
 		p.Executions++
-		var max int64
-		//hunipulint:ignore nodeterminism commutative max reduction; order-independent
-		for _, t := range tileTime {
-			if t > max {
-				max = t
-			}
-		}
-		p.ComputeCycles += max
-		p.Vertices += int64(len(cs.vertices))
+		p.ComputeCycles += maxCompute
+		p.Vertices += vertices
 	}
-	e.dev.Superstep(tileTime, cs.exchIn, cs.exchOut, cs.crossBytes, int64(len(cs.vertices)))
+	var start int64
+	if e.trace != nil {
+		start = e.dev.Stats().TotalCycles()
+	}
+	e.dev.Superstep(maxCompute, cs.exch, vertices)
+	if e.trace != nil {
+		e.trace.record(cs.Name, start, e.dev.Stats().TotalCycles(), len(cs.vertices))
+	}
 	return e.checkBudget()
 }
 
@@ -392,13 +451,12 @@ func (e *Engine) runComputeSet(cs *ComputeSet) error {
 // cs.tileThreads) so the hot superstep loop allocates nothing to call
 // it.
 func runTileVertices(cfg ipu.Config, cs *ComputeSet, idx int) int64 {
-	vs := cs.byTile[cs.tiles[idx]]
 	cycles := cs.tileCycles[idx]
 	// One Worker per tile, not per vertex: &w escapes into the codelet
 	// call, so a loop-local Worker would heap-allocate once per vertex
 	// per superstep — the single largest allocation site in a solve.
 	w := &cs.tileWorkers[idx]
-	for i, v := range vs {
+	for i, v := range cs.tileVerts[idx] {
 		w.cycles = 0
 		v.Run(w)
 		cycles[i] = w.cycles

@@ -175,6 +175,16 @@ func (g *Graph) AddVariable(name string, dtype DType, shape ...int) *Tensor {
 	return t
 }
 
+// owns reports whether t was created on this graph.
+func (g *Graph) owns(t *Tensor) bool {
+	return t.id < len(g.tensors) && g.tensors[t.id] == t
+}
+
+// ownsComputeSet reports whether cs was declared on this graph.
+func (g *Graph) ownsComputeSet(cs *ComputeSet) bool {
+	return cs.id < len(g.computeSets) && g.computeSets[cs.id] == cs
+}
+
 // Tensor looks a tensor up by name (nil if absent).
 func (g *Graph) Tensor(name string) *Tensor { return g.names[name] }
 
@@ -288,6 +298,12 @@ func (t *Tensor) regionsIn(start, end int, fn func(s, e, tile int)) {
 		}
 		fn(s, e, t.mapping[i].Tile)
 	}
+}
+
+// residentOn reports whether all of [start, end) is mapped to tile.
+func (t *Tensor) residentOn(start, end, tile int) bool {
+	i := sort.Search(len(t.mapping), func(k int) bool { return t.mapping[k].End > start })
+	return i < len(t.mapping) && t.mapping[i].Start <= start && t.mapping[i].End >= end && t.mapping[i].Tile == tile
 }
 
 // TileOf returns the tile owning element i (compile-time information;

@@ -552,10 +552,10 @@ func TestFill(t *testing.T) {
 	}
 }
 
-// Determinism: the same graph run on two devices yields identical data
-// and identical cycle counts regardless of engine parallelism.
-func TestDeterminismAcrossParallelism(t *testing.T) {
-	build := func(par int) (int64, []float64) {
+// Determinism: a fresh engine and a second run of an already-used
+// engine yield identical data and identical cycle counts.
+func TestDeterminismAcrossEngines(t *testing.T) {
+	build := func() (*Engine, *ipu.Device, *Tensor) {
 		cfg := smallCfg()
 		g := NewGraph(cfg)
 		x := g.AddVariable("x", Float, 256)
@@ -564,22 +564,29 @@ func TestDeterminismAcrossParallelism(t *testing.T) {
 		g.MapAllTo(out, 0)
 		prog := Sequence(Fill(g, x, 3, "f"), Reduce(g, x, out, ReduceSum, "r"))
 		dev, _ := ipu.NewDevice(cfg)
-		eng, err := NewEngine(g, prog, dev, WithParallelism(par))
+		eng, err := NewEngine(g, prog, dev)
 		if err != nil {
 			t.Fatal(err)
 		}
+		return eng, dev, out
+	}
+	run := func(eng *Engine, dev *ipu.Device, out *Tensor) (ipu.Stats, float64) {
+		dev.ResetClock()
+		eng.ZeroState()
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return dev.Stats().TotalCycles(), []float64{out.ScalarValue()}
+		return dev.Stats(), out.ScalarValue()
 	}
-	c1, d1 := build(1)
-	c8, d8 := build(8)
-	if c1 != c8 {
-		t.Fatalf("cycles differ across parallelism: %d vs %d", c1, c8)
+	eng, dev, out := build()
+	s1, d1 := run(eng, dev, out)
+	s2, d2 := run(eng, dev, out)
+	s3, d3 := run(build())
+	if s1 != s2 || s1 != s3 {
+		t.Fatalf("stats differ: first %+v, re-run %+v, fresh engine %+v", s1, s2, s3)
 	}
-	if d1[0] != d8[0] || d1[0] != 768 {
-		t.Fatalf("data differs: %v vs %v", d1, d8)
+	if d1 != 768 || d2 != d1 || d3 != d1 {
+		t.Fatalf("data differs: %g, %g, %g (want 768)", d1, d2, d3)
 	}
 }
 
@@ -732,6 +739,39 @@ func TestEngineProfile(t *testing.T) {
 	}
 	if len(eng2.Profile()) != 0 {
 		t.Fatal("profile collected without WithProfiling")
+	}
+}
+
+// TestProfileAndTraceArePerRun checks that a second run of one engine
+// reports the same profile and trace as the first, and that compute
+// sets sharing a name are profiled as one entry.
+func TestProfileAndTraceArePerRun(t *testing.T) {
+	cfg := smallCfg()
+	g := NewGraph(cfg)
+	x := g.AddVariable("x", Float, 16)
+	g.MapLinearly(x)
+	prog := Sequence(Repeat(2, Fill(g, x, 1, "same")), Fill(g, x, 2, "same"))
+	eng, err := NewEngine(g, prog, newDev(t, cfg), WithProfiling(), WithTrace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first []CSProfile
+	for run := 0; run < 2; run++ {
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		prof := eng.Profile()
+		if len(prof) != 1 || prof[0].Name != "same/fill" || prof[0].Executions != 3 {
+			t.Fatalf("run %d: profile = %+v, want one same/fill entry with 3 executions", run, prof)
+		}
+		if n := eng.TraceEventCount(); n != 3 {
+			t.Fatalf("run %d: trace events = %d, want 3", run, n)
+		}
+		if run == 0 {
+			first = prof
+		} else if prof[0] != first[0] {
+			t.Fatalf("second run profile %+v, first %+v", prof[0], first[0])
+		}
 	}
 }
 
@@ -946,10 +986,11 @@ func TestCompileErrorPaths(t *testing.T) {
 	}
 }
 
-// TestParallelExecutionPath exercises the goroutine fan-out branch of
-// runComputeSet (≥128 vertices) and checks it matches serial execution.
-func TestParallelExecutionPath(t *testing.T) {
-	build := func(par int) (int64, float64) {
+// TestLargeComputeSetDeterminism runs one compute set of ≥128 vertices
+// spread over many tiles on a fresh engine and again on the same
+// engine, and checks the cycles and data match.
+func TestLargeComputeSetDeterminism(t *testing.T) {
+	build := func() (*Engine, *ipu.Device, *Tensor) {
 		cfg := smallCfg()
 		g := NewGraph(cfg)
 		x := g.AddVariable("x", Float, 300)
@@ -961,7 +1002,7 @@ func TestParallelExecutionPath(t *testing.T) {
 				val := float64(e)
 				cs.AddVertex(r.Tile, func(w *Worker) {
 					ref.Data()[0] = val
-					w.Charge(1)
+					w.Charge(1 + int64(e%7))
 				}).Writes(ref)
 			}
 		}
@@ -969,10 +1010,15 @@ func TestParallelExecutionPath(t *testing.T) {
 			t.Fatalf("need ≥128 vertices, have %d", cs.NumVertices())
 		}
 		dev, _ := ipu.NewDevice(cfg)
-		eng, err := NewEngine(g, Execute(cs), dev, WithParallelism(par))
+		eng, err := NewEngine(g, Execute(cs), dev)
 		if err != nil {
 			t.Fatal(err)
 		}
+		return eng, dev, x
+	}
+	run := func(eng *Engine, dev *ipu.Device, x *Tensor) (int64, float64) {
+		dev.ResetClock()
+		eng.ZeroState()
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -982,10 +1028,12 @@ func TestParallelExecutionPath(t *testing.T) {
 		}
 		return dev.Stats().TotalCycles(), sum
 	}
-	c1, s1 := build(1)
-	c4, s4 := build(4)
-	if c1 != c4 || s1 != s4 {
-		t.Fatalf("parallel path diverged: cycles %d vs %d, sum %g vs %g", c1, c4, s1, s4)
+	eng, dev, x := build()
+	c1, s1 := run(eng, dev, x)
+	c2, s2 := run(eng, dev, x)
+	c3, s3 := run(build())
+	if c1 != c2 || c1 != c3 || s1 != s2 || s1 != s3 {
+		t.Fatalf("runs diverged: cycles %d/%d/%d, sums %g/%g/%g", c1, c2, c3, s1, s2, s3)
 	}
 	if s1 != 300.0*299/2 {
 		t.Fatalf("sum = %g", s1)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"hunipu/internal/faultinject"
+	"hunipu/internal/ipu"
 )
 
 // Program is a node of the static control-flow tree executed by the
@@ -80,7 +81,7 @@ func (p *execProg) exec(e *Engine) error {
 		// maintenance runs — no bytes changed, so the guard's checksums
 		// stay consistent by construction; only invariant probes or final
 		// attestation can see the missing update.
-		e.dev.Superstep(nil, p.cs.exchIn, p.cs.exchOut, p.cs.crossBytes, int64(len(p.cs.vertices)))
+		e.dev.Superstep(0, p.cs.exch, int64(len(p.cs.vertices)))
 		if err := e.checkBudget(); err != nil {
 			return err
 		}
@@ -229,9 +230,11 @@ func Copy(src, dst Ref) Program { return &copyProg{src: src, dst: dst} }
 type copyProg struct {
 	src, dst Ref
 
-	in, out map[int]int64
-	cross   int64
-	ready   bool
+	// Fixed when the copy compiles: its exchange profile and its fault
+	// phase name.
+	exch  ipu.Exchange
+	phase string
+	ready bool
 }
 
 func (p *copyProg) compile(e *Engine) error {
@@ -242,9 +245,8 @@ func (p *copyProg) compile(e *Engine) error {
 	if p.ready {
 		return nil
 	}
-	p.in = map[int]int64{}
-	p.out = map[int]int64{}
-	cfg := e.graph.cfg
+	x := &e.tally
+	x.reset(e.graph.cfg)
 	bytes := int64(p.dst.T.DType.DeviceBytes())
 	// Walk both refs' region decompositions in lockstep.
 	off := 0
@@ -253,19 +255,16 @@ func (p *copyProg) compile(e *Engine) error {
 			segStart := p.dst.Start + off
 			chunk := end - s
 			p.dst.T.regionsIn(segStart, segStart+chunk, func(ds, de, dstTile int) {
-				n := int64(de - ds)
 				if srcTile != dstTile {
-					p.out[srcTile] += n * bytes
-					p.in[dstTile] += n * bytes
-					if cfg.IPUOf(srcTile) != cfg.IPUOf(dstTile) {
-						p.cross += n * bytes
-					}
+					x.send(srcTile, dstTile, int64(de-ds)*bytes)
 				}
 			})
 			s += chunk
 			off += chunk
 		}
 	})
+	p.exch = x.exchange()
+	p.phase = "copy:" + p.dst.T.Name
 	p.ready = true
 	return nil
 }
@@ -277,14 +276,14 @@ func (p *copyProg) exec(e *Engine) error {
 	if err := e.interrupted(); err != nil {
 		return err
 	}
-	fe := e.dev.CheckFault("copy:"+p.dst.T.Name, faultinject.KindSuperstep)
+	fe := e.dev.CheckFault(p.phase, faultinject.KindSuperstep)
 	if fe != nil && !fe.Silent() {
 		e.applyFaultEffect(fe, []Ref{p.dst})
 		return fe
 	}
 	if fe != nil && e.applySilentFault(fe, []Ref{p.src}, []Ref{p.dst}) {
 		// Stale read: the copy silently does not land; cost still accrues.
-		e.dev.Superstep(nil, p.in, p.out, p.cross, 0)
+		e.dev.Superstep(0, p.exch, 0)
 		if err := e.checkBudget(); err != nil {
 			return err
 		}
@@ -296,7 +295,7 @@ func (p *copyProg) exec(e *Engine) error {
 	if fe != nil {
 		e.applyLateSilentFault(fe, []Ref{p.dst})
 	}
-	e.dev.Superstep(nil, p.in, p.out, p.cross, 0)
+	e.dev.Superstep(0, p.exch, 0)
 	if err := e.checkBudget(); err != nil {
 		return err
 	}

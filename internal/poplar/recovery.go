@@ -243,6 +243,7 @@ func (e *Engine) RunContext(ctx context.Context) error {
 	e.cpSpare = nil
 	e.pendingSince = -1
 	e.silentSeen = 0
+	e.resetTelemetry()
 	defer func() { e.cps, e.cpSpare = nil, nil }() // snapshots are per-run; don't pin them
 
 	e.cpLive = e.cpEvery

@@ -6,7 +6,7 @@ import (
 	"io"
 )
 
-// WithTrace records every executed superstep so the timeline can be
+// WithTrace records every superstep of a run so the timeline can be
 // exported with Engine.WriteTrace (Chrome trace-event format, loadable
 // in chrome://tracing or Perfetto). Long solves produce tens of
 // thousands of events; intended for debugging runs, not benchmarks.

@@ -1,10 +1,11 @@
 package poplar
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -132,9 +133,10 @@ func Verify(g *Graph, program Program) *VerifyReport {
 	verifyMappings(g, r)
 	verifyMemory(g, r)
 	reached := verifyProgram(g, program, r)
+	sc := &verifyScratch{seen: make([]int, g.cfg.Tiles())}
 	for _, cs := range g.computeSets {
-		if reached[cs] {
-			verifyComputeSet(g, cs, r)
+		if reached[cs.id] {
+			verifyComputeSet(g, cs, r, sc)
 		} else {
 			// A note, not a violation: graphs are legitimately reused
 			// with different programs (e.g. a warm-up subset), so an
@@ -175,20 +177,18 @@ func verifyMappings(g *Graph, r *VerifyReport) {
 // verifyMemory proves the C2 budget per tile: the byte total of all
 // regions resident on each tile must fit Config.TileMemory.
 func verifyMemory(g *Graph, r *VerifyReport) {
-	perTile := map[int]int64{}
+	perTile := make([]int64, g.cfg.Tiles())
 	for _, t := range g.tensors {
 		w := int64(t.DType.DeviceBytes())
 		for _, reg := range t.mapping {
-			perTile[reg.Tile] += int64(reg.End-reg.Start) * w
+			// Regions on invalid tiles are verifyMappings findings.
+			if reg.Tile >= 0 && reg.Tile < len(perTile) {
+				perTile[reg.Tile] += int64(reg.End-reg.Start) * w
+			}
 		}
 	}
-	tiles := make([]int, 0, len(perTile))
-	for tile := range perTile {
-		tiles = append(tiles, tile)
-	}
-	sort.Ints(tiles)
-	for _, tile := range tiles {
-		if used := perTile[tile]; used > int64(g.cfg.TileMemory) {
+	for tile, used := range perTile {
+		if used > int64(g.cfg.TileMemory) {
 			r.Findings = append(r.Findings, VerifyFinding{
 				Check:   "memory",
 				Subject: fmt.Sprintf("tile %d", tile),
@@ -200,17 +200,9 @@ func verifyMemory(g *Graph, r *VerifyReport) {
 
 // verifyProgram walks the static control-flow tree, checking that
 // every referenced compute set and predicate belongs to this graph.
-// It returns the set of reachable compute sets.
-func verifyProgram(g *Graph, program Program, r *VerifyReport) map[*ComputeSet]bool {
-	reached := map[*ComputeSet]bool{}
-	ownCS := map[*ComputeSet]bool{}
-	for _, cs := range g.computeSets {
-		ownCS[cs] = true
-	}
-	ownTensor := map[*Tensor]bool{}
-	for _, t := range g.tensors {
-		ownTensor[t] = true
-	}
+// It returns which compute sets are reachable, indexed by id.
+func verifyProgram(g *Graph, program Program, r *VerifyReport) []bool {
+	reached := make([]bool, len(g.computeSets))
 	checkPred := func(pred *Tensor, kind string) {
 		if pred == nil {
 			r.Findings = append(r.Findings, VerifyFinding{
@@ -220,7 +212,7 @@ func verifyProgram(g *Graph, program Program, r *VerifyReport) map[*ComputeSet]b
 			})
 			return
 		}
-		if !ownTensor[pred] {
+		if !g.owns(pred) {
 			r.Findings = append(r.Findings, VerifyFinding{
 				Check:   "foreign",
 				Subject: pred.Name,
@@ -237,7 +229,7 @@ func verifyProgram(g *Graph, program Program, r *VerifyReport) map[*ComputeSet]b
 			})
 			return
 		}
-		if !ownTensor[ref.T] {
+		if !g.owns(ref.T) {
 			r.Findings = append(r.Findings, VerifyFinding{
 				Check:   "foreign",
 				Subject: ref.T.Name,
@@ -264,7 +256,7 @@ func verifyProgram(g *Graph, program Program, r *VerifyReport) map[*ComputeSet]b
 				})
 				return
 			}
-			if !ownCS[x.cs] {
+			if !g.ownsComputeSet(x.cs) {
 				r.Findings = append(r.Findings, VerifyFinding{
 					Check:   "foreign",
 					Subject: x.cs.Name,
@@ -272,7 +264,7 @@ func verifyProgram(g *Graph, program Program, r *VerifyReport) map[*ComputeSet]b
 				})
 				return
 			}
-			reached[x.cs] = true
+			reached[x.cs.id] = true
 		case *repeatProg:
 			walk(x.body)
 		case *whileProg:
@@ -293,10 +285,25 @@ func verifyProgram(g *Graph, program Program, r *VerifyReport) map[*ComputeSet]b
 	return reached
 }
 
+// verifyScratch is buffer space Verify reuses across compute sets.
+type verifyScratch struct {
+	// seen[tile] == stamp marks a tile already counted for the vertex
+	// being checked; every vertex of every compute set gets a new stamp.
+	seen  []int
+	stamp int
+	// bucket and next hold per-tensor offsets into accs.
+	bucket, next []int
+	accs         []access
+}
+
 // verifyComputeSet checks vertex placement and same-superstep hazards
 // (C1), and emits C4 gather-hot-spot notes.
-func verifyComputeSet(g *Graph, cs *ComputeSet, r *VerifyReport) {
-	perTensor := map[*Tensor][]access{}
+func verifyComputeSet(g *Graph, cs *ComputeSet, r *VerifyReport, sc *verifyScratch) {
+	// Accesses are bucketed by tensor id (a counting sort: this pass
+	// sizes the buckets, the next fills them), so each tensor's accesses
+	// arrive in vertex order.
+	bucket := slices.Grow(sc.bucket[:0], len(g.tensors)+1)[:len(g.tensors)+1]
+	clear(bucket)
 	for vi, v := range cs.vertices {
 		if v.Tile < 0 || v.Tile >= g.cfg.Tiles() {
 			r.Findings = append(r.Findings, VerifyFinding{
@@ -312,17 +319,23 @@ func verifyComputeSet(g *Graph, cs *ComputeSet, r *VerifyReport) {
 				Message: fmt.Sprintf("vertex %d has no codelet", vi),
 			})
 		}
-		for _, ref := range v.reads {
-			if ref.T != nil {
-				perTensor[ref.T] = append(perTensor[ref.T], access{ref.Start, ref.End, vi, false})
+		for _, refs := range [2][]Ref{v.reads, v.writes} {
+			for _, ref := range refs {
+				switch {
+				case ref.T == nil:
+				case !g.owns(ref.T):
+					r.Findings = append(r.Findings, VerifyFinding{
+						Check:   "foreign",
+						Subject: cs.Name,
+						Message: fmt.Sprintf("vertex %d references tensor %q from a different graph", vi, ref.T.Name),
+					})
+				default:
+					bucket[ref.T.id+1]++
+				}
 			}
 		}
-		for _, ref := range v.writes {
-			if ref.T != nil {
-				perTensor[ref.T] = append(perTensor[ref.T], access{ref.Start, ref.End, vi, true})
-			}
-		}
-		if n := remoteSourceTiles(v); n > gatherNoteThreshold {
+		sc.stamp++
+		if n := remoteSourceTiles(v, sc.seen, sc.stamp); n > gatherNoteThreshold {
 			r.Notes = append(r.Notes, VerifyFinding{
 				Check:   "hotspot",
 				Subject: cs.Name,
@@ -330,20 +343,31 @@ func verifyComputeSet(g *Graph, cs *ComputeSet, r *VerifyReport) {
 			})
 		}
 	}
-	// Iterate tensors in creation order so the first hazard reported is
-	// stable across runs.
-	tensors := make([]*Tensor, 0, len(perTensor))
-	for t := range perTensor {
-		tensors = append(tensors, t)
+	for i := 1; i < len(bucket); i++ {
+		bucket[i] += bucket[i-1]
 	}
-	sort.Slice(tensors, func(i, j int) bool { return tensors[i].id < tensors[j].id })
-	for _, t := range tensors {
-		accs := perTensor[t]
-		sort.Slice(accs, func(i, j int) bool { return accs[i].start < accs[j].start })
+	accs := slices.Grow(sc.accs[:0], bucket[len(bucket)-1])[:bucket[len(bucket)-1]]
+	next := append(sc.next[:0], bucket[:len(bucket)-1]...)
+	sc.bucket, sc.next, sc.accs = bucket, next, accs
+	for vi, v := range cs.vertices {
+		for k, refs := range [2][]Ref{v.reads, v.writes} {
+			for _, ref := range refs {
+				if ref.T != nil && g.owns(ref.T) {
+					accs[next[ref.T.id]] = access{ref.Start, ref.End, vi, k == 1}
+					next[ref.T.id]++
+				}
+			}
+		}
+	}
+	// Sweep tensors in creation order, each tensor's accesses by start.
+	// The order is total, so the first hazard reported is stable.
+	for id, t := range g.tensors {
+		tensorAccs := accs[bucket[id]:bucket[id+1]]
+		slices.SortFunc(tensorAccs, compareAccesses)
 		maxEnd, maxEndIdx := -1, -1
-		for i, a := range accs {
+		for i, a := range tensorAccs {
 			if i > 0 && a.start < maxEnd {
-				b := accs[maxEndIdx]
+				b := tensorAccs[maxEndIdx]
 				if a.vertex != b.vertex && (a.write || b.write) {
 					kind := "read/write"
 					if a.write && b.write {
@@ -366,19 +390,44 @@ func verifyComputeSet(g *Graph, cs *ComputeSet, r *VerifyReport) {
 	}
 }
 
+// compareAccesses orders one tensor's accesses by start, then vertex,
+// reads before writes, then end.
+func compareAccesses(a, b access) int {
+	if c := cmp.Compare(a.start, b.start); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.vertex, b.vertex); c != 0 {
+		return c
+	}
+	if a.write != b.write {
+		if a.write {
+			return 1
+		}
+		return -1
+	}
+	return cmp.Compare(a.end, b.end)
+}
+
 // remoteSourceTiles counts the distinct tiles, other than the vertex's
-// own, that home any element the vertex reads.
-func remoteSourceTiles(v *Vertex) int {
-	seen := map[int]bool{}
+// own, that home any element the vertex reads. seen is per-tile scratch
+// shared across vertices; stamp is unique to this vertex, so nothing
+// needs clearing between vertices.
+func remoteSourceTiles(v *Vertex, seen []int, stamp int) int {
+	n := 0
 	for _, ref := range v.reads {
 		if ref.T == nil {
 			continue
 		}
 		ref.T.regionsIn(ref.Start, ref.End, func(_, _ int, homeTile int) {
-			if homeTile != v.Tile {
-				seen[homeTile] = true
+			switch {
+			case homeTile == v.Tile:
+			case homeTile < 0 || homeTile >= len(seen):
+				n++ // an invalid mapping, already a finding of its own
+			case seen[homeTile] != stamp:
+				seen[homeTile] = stamp
+				n++
 			}
 		})
 	}
-	return len(seen)
+	return n
 }

@@ -126,6 +126,24 @@ func TestVerifyForeignComputeSetAndPredicate(t *testing.T) {
 	}
 }
 
+// TestVerifyForeignVertexTensor checks that a vertex touching another
+// graph's tensor is a finding, even when its id names a tensor here.
+func TestVerifyForeignVertexTensor(t *testing.T) {
+	cfg := smallCfg()
+	g := NewGraph(cfg)
+	x := g.AddVariable("x", Float, 4)
+	g.MapAllTo(x, 0)
+	other := NewGraph(cfg)
+	alien := other.AddVariable("alien", Float, 4) // same id as x
+	other.MapAllTo(alien, 1)
+	cs := g.AddComputeSet("mixed")
+	cs.AddVertex(0, func(w *Worker) {}).Reads(alien.Slice(0, 4)).Writes(x.Slice(0, 4))
+	r := Verify(g, Execute(cs))
+	if got := findingChecks(r.Findings); len(got) != 1 || got[0] != "foreign" {
+		t.Fatalf("want one foreign finding, got %v", r.Findings)
+	}
+}
+
 func TestVerifyUnreachableIsNote(t *testing.T) {
 	cfg := smallCfg()
 	g := NewGraph(cfg)

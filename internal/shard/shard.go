@@ -375,10 +375,6 @@ func (sv *Solver) SolveShards(ctx context.Context, c *lsap.Matrix) (*Result, err
 		res: res,
 		c:   c,
 		g:   newFabricGuard(sv.guard, sv.devices, 1e-9*(1+scale)),
-
-		tcScratch:  make(map[int]int64, 1),
-		inScratch:  make(map[int]int64, 1),
-		outScratch: make(map[int]int64, 1),
 	}
 	r.g.lastVerify = -1
 	r.g.rebaseline(r) // upload-time block checksums over the pristine input

@@ -199,15 +199,16 @@ func (r *run) superstep(pc phaseCharge) error {
 		if pc.scan {
 			cells += rows * n
 		}
-		var tileCycles map[int]int64
+		var compute int64
 		if cells > 0 {
 			tilesUsed := int64(f.cfg.TilesPerIPU)
 			if rows > 0 && rows < tilesUsed {
 				tilesUsed = rows
 			}
-			r.tcScratch[0] = (cells + tilesUsed - 1) / tilesUsed
-			tileCycles = r.tcScratch
+			compute = (cells + tilesUsed - 1) / tilesUsed
 		}
+		// The chip's traffic sits on one port in each direction; the
+		// bytes it receives are the ones it counts.
 		var in, out, cross int64
 		if d == root {
 			in = totalGather
@@ -218,16 +219,7 @@ func (r *run) superstep(pc phaseCharge) error {
 			out = pc.gather + pc.gatherPerRow*rows
 			cross = pc.scatter
 		}
-		var bytesIn, bytesOut map[int]int64
-		if in > 0 {
-			r.inScratch[0] = in
-			bytesIn = r.inScratch
-		}
-		if out > 0 {
-			r.outScratch[0] = out
-			bytesOut = r.outScratch
-		}
-		dev.Superstep(tileCycles, bytesIn, bytesOut, cross, rows)
+		dev.Superstep(compute, ipu.Exchange{MaxBytes: max(in, out), TotalBytes: in, CrossBytes: cross}, rows)
 	}
 	r.flushGuardCharges()
 	f.step++
@@ -303,12 +295,6 @@ type run struct {
 	ckStep    int64 // fabric superstep of the newest checkpoint
 	needWrite bool  // state must be re-uploaded before resuming
 	lastFault *faultinject.FaultError
-
-	// Single-key scratch maps reused across superstep charges.
-	// ipu.Device.Superstep reads its map arguments synchronously and
-	// never retains them, so reuse is safe and saves three map
-	// allocations per live chip per superstep.
-	tcScratch, inScratch, outScratch map[int]int64
 }
 
 // checkpointNow snapshots the state without consulting the schedule
