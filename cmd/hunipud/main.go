@@ -18,7 +18,8 @@
 //
 // Shedding is typed on the wire: 429 overloaded, 422 deadline too
 // short, 503 draining / no device, 504 deadline expired mid-solve,
-// 400 invalid input.
+// 400 invalid input, 413 matrix larger than -max-n (checked after
+// decode, before anything is queued).
 //
 // Usage:
 //
@@ -29,6 +30,7 @@
 //	hunipud -shards 4 -min-fabric 2                # 4-chip fabric, survive down to 2
 //	hunipud -quality 'bounded(0.05)'               # default quality tier for requests
 //	hunipud -brownout 0.01,0.05,0.1                # ε brownout ladder under pressure
+//	hunipud -max-n 512                             # admit matrices up to 512×512
 //
 // Sharded solves are guarded by default (GuardChecksums): collective
 // frames are checksummed and retransmitted, shard row blocks are
@@ -88,7 +90,12 @@ type flags struct {
 	minFabric       int
 	quality         string
 	brownout        string
+	maxN            int
 }
+
+// defaultMaxN is the -max-n default: the largest matrix dimension the
+// daemon admits.
+const defaultMaxN = 2048
 
 func parseFlags() *flags {
 	f := &flags{}
@@ -112,6 +119,7 @@ func parseFlags() *flags {
 	flag.IntVar(&f.minFabric, "min-fabric", 0, "smallest fabric a sharded solve may continue on after chip losses (0 = 1; requires -shards)")
 	flag.StringVar(&f.quality, "quality", "exact", "default quality tier for requests that send none: exact or bounded(ε), e.g. bounded(0.05)")
 	flag.StringVar(&f.brownout, "brownout", "", "comma-separated ascending ε brownout ladder, e.g. 0.01,0.05,0.1; under pressure requests are served at the loosest tier their deadline affords instead of being shed")
+	flag.IntVar(&f.maxN, "max-n", defaultMaxN, "largest matrix dimension admitted; larger requests get 413 matrix_too_large before they are queued (0 = no cap)")
 	flag.Parse()
 	return f
 }
@@ -279,6 +287,8 @@ type daemon struct {
 	srv             *serve.Server
 	defaultDeadline time.Duration
 	defaultQuality  hunipu.Quality
+	// maxN caps the matrix dimension admitted (0 = no cap).
+	maxN int
 }
 
 // newDaemon wires the mux. The returned handler is what hunipud
@@ -290,7 +300,7 @@ func newDaemon(srv *serve.Server, defaultDeadline time.Duration) (*daemon, http.
 // newDaemonQuality is newDaemon with a -quality default for requests
 // that send no quality field.
 func newDaemonQuality(srv *serve.Server, defaultDeadline time.Duration, defaultQuality hunipu.Quality) (*daemon, http.Handler) {
-	d := &daemon{srv: srv, defaultDeadline: defaultDeadline, defaultQuality: defaultQuality}
+	d := &daemon{srv: srv, defaultDeadline: defaultDeadline, defaultQuality: defaultQuality, maxN: defaultMaxN}
 	activeServer.Store(srv)
 	publishVars()
 	mux := http.NewServeMux()
@@ -321,6 +331,11 @@ func (d *daemon) handleSolve(w http.ResponseWriter, r *http.Request) {
 	var req solveRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", "malformed JSON: "+err.Error())
+		return
+	}
+	if n := matrixDim(req.Costs); d.maxN > 0 && n > d.maxN {
+		writeError(w, http.StatusRequestEntityTooLarge, "matrix_too_large",
+			fmt.Sprintf("matrix dimension %d exceeds the daemon's limit of %d", n, d.maxN))
 		return
 	}
 	quality := d.defaultQuality
@@ -363,6 +378,16 @@ func (d *daemon) handleSolve(w http.ResponseWriter, r *http.Request) {
 		Quality:    res.Quality.String(),
 		Gap:        res.Gap,
 	})
+}
+
+// matrixDim is the larger side of a decoded cost matrix: its row count
+// or its longest row.
+func matrixDim(costs [][]float64) int {
+	n := len(costs)
+	for _, row := range costs {
+		n = max(n, len(row))
+	}
+	return n
 }
 
 // classify maps a Submit error to its wire status and code.
@@ -433,7 +458,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	_, handler := newDaemonQuality(srv, f.deadline, quality)
+	d, handler := newDaemonQuality(srv, f.deadline, quality)
+	d.maxN = f.maxN
 	httpSrv := newHTTPServer(f.addr, handler)
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)

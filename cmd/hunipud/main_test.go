@@ -134,6 +134,45 @@ func TestSolveEndpointErrors(t *testing.T) {
 	}
 }
 
+// TestMaxNAdmission pins the -max-n cap: a matrix at the limit is
+// served, and one row or one column past it is refused with a typed
+// 413 before it reaches the queue.
+func TestMaxNAdmission(t *testing.T) {
+	srv, err := serve.New(serve.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, handler := newDaemon(srv, 0)
+	d.maxN = 3
+	ts := httptest.NewServer(handler)
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		_ = srv.Shutdown(ctx)
+	})
+	if resp, raw := postSolve(t, ts, `{"costs":[[4,1,3],[2,0,5],[3,2,2]]}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("n = limit: status %d, body %s", resp.StatusCode, raw)
+	}
+	for name, body := range map[string]string{
+		"rows":    `{"costs":[[4,1,3],[2,0,5],[3,2,2],[1,1,1]]}`,
+		"columns": `{"costs":[[4,1,3,1],[2,0,5,1],[3,2,2,1]]}`,
+		"square":  `{"costs":[[1,2,3,4],[1,2,3,4],[1,2,3,4],[1,2,3,4]]}`,
+	} {
+		resp, raw := postSolve(t, ts, body)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s past the limit: status %d, want 413 (body %s)", name, resp.StatusCode, raw)
+		}
+		var e errorResponse
+		if err := json.Unmarshal(raw, &e); err != nil || e.Code != "matrix_too_large" {
+			t.Fatalf("%s past the limit: body %s, want code matrix_too_large", name, raw)
+		}
+	}
+	if admitted := srv.Metrics().Admitted.Load(); admitted != 1 {
+		t.Fatalf("admitted = %d, want 1: refused matrices must not reach the queue", admitted)
+	}
+}
+
 func TestHealthAndReadiness(t *testing.T) {
 	srv, ts := newTestDaemon(t, serve.Config{Workers: 1}, 0)
 	for _, path := range []string{"/healthz", "/readyz"} {

@@ -130,25 +130,13 @@ func (g *fabricGuard) shouldQuarantine(d int) bool {
 	return d >= 0 && d < len(g.strikes) && g.strikes[d] >= guardMaxStrikes
 }
 
-// ownerOfRow returns the live chip whose block holds row i (the root
-// as a degenerate fallback; every row has exactly one owner between
-// re-shardings).
-func (f *fabric) ownerOfRow(i int) int {
-	for d, sp := range f.ranges {
-		if f.alive[d] && i >= sp.Lo && i < sp.Hi {
-			return d
-		}
-	}
-	return f.root()
-}
-
 // setSlack writes one slack cell through the guard layer: the owning
 // shard's incremental checksum is updated with the old contribution
 // subtracted and the new one added — the legitimate-mutation path that
 // silent flips bypass.
 func (r *run) setSlack(idx int, v float64) {
 	if r.g.armed() {
-		d := r.f.ownerOfRow(idx / r.st.n)
+		d := r.f.owner[idx/r.st.n]
 		if d >= 0 {
 			r.g.sums[d] += poplar.GuardContribution(v, idx) - poplar.GuardContribution(r.st.s[idx], idx)
 			r.g.pending[d] += 2
@@ -230,18 +218,29 @@ func (r *run) noteSilent(fe *faultinject.FaultError) {
 // flipCell applies a deterministic mantissa-bit flip (bits 44–51, so
 // the value stays finite but shifts by up to ~50%) to one cell of chip
 // d's device-resident row block, bypassing the incremental checksums —
-// the fabric analogue of poplar's flipBit.
+// the fabric analogue of poplar's flipBit. The zero index still sees
+// the flip, as a scan of device memory would.
 func (r *run) flipCell(d int, fe *faultinject.FaultError) {
+	idx, ok := r.flipTarget(d, fe)
+	if !ok {
+		return
+	}
+	r.noteSilent(fe)
+	bit := uint(44 + fe.Point.Superstep%8)
+	r.st.s[idx] = math.Float64frombits(math.Float64bits(r.st.s[idx]) ^ (1 << bit))
+	r.indexRow(idx / r.st.n)
+}
+
+// flipTarget is the slack cell fe flips in chip d's block (false when
+// the block is empty).
+func (r *run) flipTarget(d int, fe *faultinject.FaultError) (int, bool) {
 	n := r.st.n
 	sp := r.f.ranges[d]
 	cells := sp.Len() * n
 	if cells == 0 {
-		return
+		return 0, false
 	}
-	r.noteSilent(fe)
-	idx := sp.Lo*n + int((uint64(fe.Point.Superstep)*31+uint64(fe.Rule)+1)%uint64(cells))
-	bit := uint(44 + fe.Point.Superstep%8)
-	r.st.s[idx] = math.Float64frombits(math.Float64bits(r.st.s[idx]) ^ (1 << bit))
+	return sp.Lo*n + int((uint64(fe.Point.Superstep)*31+uint64(fe.Rule)+1)%uint64(cells)), true
 }
 
 // frameBytes is the wire size of chip d's frame in the superstep shape
@@ -478,16 +477,15 @@ func (r *run) rollbackPastPoison(ce *faultinject.CorruptionError) error {
 		if g.pendingSince >= 0 && ep.step > g.pendingSince {
 			ce.PoisonedEpochs++
 			g.rollbackEpochs++
+			r.free = append(r.free, ep)
 			r.cks = r.cks[:len(r.cks)-1]
 			continue
 		}
-		r.st = ep.st.clone()
-		r.ckStep = ep.step
-		r.needWrite = true
-		g.rebaseline(r)
+		r.restoreFrom(ep)
 		if err := r.validateEpoch(); err != nil {
 			ce.PoisonedEpochs++
 			g.rollbackEpochs++
+			r.free = append(r.free, ep)
 			r.cks = r.cks[:len(r.cks)-1]
 			continue
 		}

@@ -82,20 +82,21 @@ var DefaultCache = NewPlanCache()
 
 // PlanFor returns the plan for an n-row problem over a k-chip fabric of
 // the given per-chip configuration under the given guard policy,
-// computing and caching it on first use. The returned plan is shared
-// and must not be mutated.
-func (pc *PlanCache) PlanFor(n, k int, cfg ipu.Config, guard poplar.GuardPolicy) *Plan {
+// computing and caching it on first use, and reports whether this
+// lookup hit the cache. The returned plan is shared and must not be
+// mutated.
+func (pc *PlanCache) PlanFor(n, k int, cfg ipu.Config, guard poplar.GuardPolicy) (*Plan, bool) {
 	key := planKey{n: n, devices: k, tiles: cfg.TilesPerIPU, mem: cfg.TileMemory, name: cfg.Name, guard: guard}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	if p, ok := pc.plans[key]; ok {
 		pc.hits++
-		return p
+		return p, true
 	}
 	pc.misses++
 	p := &Plan{N: n, Devices: k, Ranges: partition(n, k)}
 	pc.plans[key] = p
-	return p
+	return p, false
 }
 
 // CacheSnapshot is a point-in-time view of cache counters.

@@ -336,6 +336,12 @@ func AsFabric(err error) (*FabricError, bool) {
 // Result is non-nil even on error, carrying lost devices, re-shard
 // epochs and per-device stats up to the failure.
 func (sv *Solver) SolveShards(ctx context.Context, c *lsap.Matrix) (*Result, error) {
+	return sv.solveShards(ctx, c, nil)
+}
+
+// solveShards is SolveShards with a hook that sees the run once it is
+// built, before the first superstep (tests use it to watch the state).
+func (sv *Solver) solveShards(ctx context.Context, c *lsap.Matrix, attach func(*run)) (*Result, error) {
 	n := c.N
 	res := &Result{Devices: sv.devices, Survivors: sv.devices}
 	if n == 0 {
@@ -354,9 +360,8 @@ func (sv *Solver) SolveShards(ctx context.Context, c *lsap.Matrix) (*Result, err
 		return res, err
 	}
 
-	snap := sv.cache.Snapshot()
-	plan := sv.cache.PlanFor(n, sv.devices, sv.cfg, sv.guard)
-	res.CachedPlan = sv.cache.Snapshot().Hits > snap.Hits
+	plan, hit := sv.cache.PlanFor(n, sv.devices, sv.cfg, sv.guard)
+	res.CachedPlan = hit
 
 	f, err := newFabric(sv.cfg, sv.devices, plan, sv.fault)
 	if err != nil {
@@ -369,16 +374,25 @@ func (sv *Solver) SolveShards(ctx context.Context, c *lsap.Matrix) (*Result, err
 		}
 	}
 	r := &run{
-		sv:  sv,
-		f:   f,
-		st:  newRunState(n, c),
-		res: res,
-		c:   c,
-		g:   newFabricGuard(sv.guard, sv.devices, 1e-9*(1+scale)),
+		sv:   sv,
+		f:    f,
+		st:   newRunState(n, c),
+		res:  res,
+		c:    c,
+		g:    newFabricGuard(sv.guard, sv.devices, 1e-9*(1+scale)),
+		cks:  make([]*epoch, 0, 1+poplar.GuardRingEpochs),
+		free: make([]*epoch, 0, 1+poplar.GuardRingEpochs),
+		zcol: make([]int32, n*n),
+		zlen: make([]int, n),
+		path: make([]cell, 0, 2*n),
 	}
 	r.g.lastVerify = -1
+	r.indexAll()
 	r.g.rebaseline(r) // upload-time block checksums over the pristine input
 	r.checkpointNow() // epoch 0: the pristine state is always restorable
+	if attach != nil {
+		attach(r)
+	}
 
 	track := func() {
 		res.Survivors = f.live()

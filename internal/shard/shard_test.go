@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"hunipu/internal/cpuhung"
@@ -144,30 +145,38 @@ func TestCrossDeviceTrafficChargedAtLinkRate(t *testing.T) {
 func TestPlanCacheTopologyIsolation(t *testing.T) {
 	cache := NewPlanCache()
 	cfg := smallChip()
-	p2 := cache.PlanFor(16, 2, cfg, poplar.GuardOff)
-	p4 := cache.PlanFor(16, 4, cfg, poplar.GuardOff)
+	plan := func(n, k int, cfg ipu.Config, guard poplar.GuardPolicy, wantHit bool) *Plan {
+		t.Helper()
+		p, hit := cache.PlanFor(n, k, cfg, guard)
+		if hit != wantHit {
+			t.Fatalf("PlanFor(%d, %d, %s, %v) hit = %v, want %v", n, k, cfg.Name, guard, hit, wantHit)
+		}
+		return p
+	}
+	p2 := plan(16, 2, cfg, poplar.GuardOff, false)
+	p4 := plan(16, 4, cfg, poplar.GuardOff, false)
 	if p2 == p4 {
 		t.Fatal("K=2 and K=4 shared a plan")
 	}
 	if len(p2.Ranges) != 2 || len(p4.Ranges) != 4 {
 		t.Fatalf("plan shapes: %d, %d ranges", len(p2.Ranges), len(p4.Ranges))
 	}
-	if again := cache.PlanFor(16, 2, cfg, poplar.GuardOff); again != p2 {
+	if again := plan(16, 2, cfg, poplar.GuardOff, true); again != p2 {
 		t.Fatal("warm lookup did not reuse the K=2 plan")
 	}
 	other := cfg
 	other.TileMemory *= 2
-	if cache.PlanFor(16, 2, other, poplar.GuardOff) == p2 {
+	if plan(16, 2, other, poplar.GuardOff, false) == p2 {
 		t.Fatal("different chip shape shared a plan")
 	}
-	p2g := cache.PlanFor(16, 2, cfg, poplar.GuardChecksums)
+	p2g := plan(16, 2, cfg, poplar.GuardChecksums, false)
 	if p2g == p2 {
 		t.Fatal("guarded and unguarded fabrics shared a plan")
 	}
-	if cache.PlanFor(16, 2, cfg, poplar.GuardParanoid) == p2g {
+	if plan(16, 2, cfg, poplar.GuardParanoid, false) == p2g {
 		t.Fatal("checksums and paranoid policies shared a plan")
 	}
-	if again := cache.PlanFor(16, 2, cfg, poplar.GuardChecksums); again != p2g {
+	if again := plan(16, 2, cfg, poplar.GuardChecksums, true); again != p2g {
 		t.Fatal("warm lookup did not reuse the guarded K=2 plan")
 	}
 	snap := cache.Snapshot()
@@ -192,6 +201,60 @@ func TestPlanCacheTopologyIsolation(t *testing.T) {
 	r3, err := sv4.SolveShards(context.Background(), m.Clone())
 	if err != nil || r3.CachedPlan {
 		t.Fatalf("other topology must not go warm off K=2: err=%v cached=%v", err, r3.CachedPlan)
+	}
+}
+
+// TestPlanCacheConcurrentColdSolves pins that CachedPlan reports the
+// solve's own lookup, not the cache's counters: cold solves of distinct
+// n on a fresh cache all report false while other lookups keep hitting
+// the same cache.
+func TestPlanCacheConcurrentColdSolves(t *testing.T) {
+	cache := NewPlanCache()
+	cfg := smallChip()
+	sv := mustSolver(t, Options{Config: cfg, Devices: 2, Cache: cache})
+	rng := rand.New(rand.NewSource(37))
+	var cold []*lsap.Matrix
+	for n := 9; n < 25; n++ {
+		cold = append(cold, genMatrix(t, rng, n))
+	}
+	cache.PlanFor(8, 2, cfg, poplar.GuardOff)
+
+	stop := make(chan struct{})
+	hitterDone := make(chan struct{})
+	go func() { // warm traffic: every lookup here is a hit
+		defer close(hitterDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				cache.PlanFor(8, 2, cfg, poplar.GuardOff)
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	cached := make([]bool, len(cold))
+	errs := make([]error, len(cold))
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(cold); i += 2 {
+				res, err := sv.SolveShards(context.Background(), cold[i])
+				errs[i], cached[i] = err, err == nil && res.CachedPlan
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	<-hitterDone
+	for i, m := range cold {
+		if errs[i] != nil {
+			t.Fatalf("n=%d: %v", m.N, errs[i])
+		}
+		if cached[i] {
+			t.Errorf("n=%d: first solve of its size reported CachedPlan", m.N)
+		}
 	}
 }
 

@@ -18,7 +18,9 @@ type fabric struct {
 	devs   []*ipu.Device
 	alive  []bool
 	ranges []Span
-	step   int64 // fabric superstep counter, monotone for the whole solve
+	// owner[i] is the chip whose block holds row i (see indexOwners).
+	owner []int
+	step  int64 // fabric superstep counter, monotone for the whole solve
 }
 
 func newFabric(cfg ipu.Config, k int, plan *Plan, inj faultinject.Injector) (*fabric, error) {
@@ -27,6 +29,7 @@ func newFabric(cfg ipu.Config, k int, plan *Plan, inj faultinject.Injector) (*fa
 		devs:   make([]*ipu.Device, k),
 		alive:  make([]bool, k),
 		ranges: append([]Span(nil), plan.Ranges...),
+		owner:  make([]int, plan.N),
 	}
 	for d := 0; d < k; d++ {
 		dev, err := ipu.NewDevice(cfg)
@@ -38,6 +41,7 @@ func newFabric(cfg ipu.Config, k int, plan *Plan, inj faultinject.Injector) (*fa
 		f.devs[d] = dev
 		f.alive[d] = true
 	}
+	f.indexOwners()
 	return f, nil
 }
 
@@ -67,6 +71,25 @@ func (f *fabric) root() int {
 func (f *fabric) kill(d int) {
 	if d >= 0 && d < len(f.alive) {
 		f.alive[d] = false
+		f.indexOwners()
+	}
+}
+
+// indexOwners rebuilds the row owner table: each row belongs to the
+// live chip whose block holds it (the lowest such chip), and a lost
+// chip's rows fall back to the root until the re-shard spreads them.
+func (f *fabric) indexOwners() {
+	root := f.root()
+	for i := range f.owner {
+		f.owner[i] = root
+	}
+	for d := len(f.ranges) - 1; d >= 0; d-- {
+		if !f.alive[d] {
+			continue
+		}
+		for i := f.ranges[d].Lo; i < f.ranges[d].Hi; i++ {
+			f.owner[i] = d
+		}
 	}
 }
 
@@ -74,13 +97,7 @@ func (f *fabric) kill(d int) {
 // layouts are dynamic (they depend on which chip died when), so they
 // are computed fresh rather than cached.
 func (f *fabric) reshard() {
-	n := 0
-	for _, s := range f.ranges {
-		if s.Hi > n {
-			n = s.Hi
-		}
-	}
-	spans := partition(n, f.live())
+	spans := partition(len(f.owner), f.live())
 	si := 0
 	for d := range f.ranges {
 		if f.alive[d] {
@@ -90,6 +107,7 @@ func (f *fabric) reshard() {
 			f.ranges[d] = Span{}
 		}
 	}
+	f.indexOwners()
 }
 
 // hostPoint consults the fault schedule at a host-transfer point on
@@ -243,10 +261,10 @@ type runState struct {
 	inited  bool // upload + steps 1–2 complete
 }
 
-func newRunState(n int, c *lsap.Matrix) *runState {
-	st := &runState{
+func allocRunState(n int) *runState {
+	return &runState{
 		n:       n,
-		s:       append([]float64(nil), c.Data...),
+		s:       make([]float64, n*n),
 		u:       make([]float64, n),
 		v:       make([]float64, n),
 		starred: make([]int, n),
@@ -255,6 +273,11 @@ func newRunState(n int, c *lsap.Matrix) *runState {
 		rowCov:  make([]bool, n),
 		colCov:  make([]bool, n),
 	}
+}
+
+func newRunState(n int, c *lsap.Matrix) *runState {
+	st := allocRunState(n)
+	copy(st.s, c.Data)
 	for i := 0; i < n; i++ {
 		st.starred[i] = -1
 		st.colStar[i] = -1
@@ -263,20 +286,17 @@ func newRunState(n int, c *lsap.Matrix) *runState {
 	return st
 }
 
-func (st *runState) clone() *runState {
-	cp := &runState{
-		n:       st.n,
-		s:       append([]float64(nil), st.s...),
-		u:       append([]float64(nil), st.u...),
-		v:       append([]float64(nil), st.v...),
-		starred: append([]int(nil), st.starred...),
-		colStar: append([]int(nil), st.colStar...),
-		primed:  append([]int(nil), st.primed...),
-		rowCov:  append([]bool(nil), st.rowCov...),
-		colCov:  append([]bool(nil), st.colCov...),
-		inited:  st.inited,
-	}
-	return cp
+// copyFrom overwrites st in place with src, a state of the same n.
+func (st *runState) copyFrom(src *runState) {
+	copy(st.s, src.s)
+	copy(st.u, src.u)
+	copy(st.v, src.v)
+	copy(st.starred, src.starred)
+	copy(st.colStar, src.colStar)
+	copy(st.primed, src.primed)
+	copy(st.rowCov, src.rowCov)
+	copy(st.colCov, src.colCov)
+	st.inited = src.inited
 }
 
 // run is one sharded solve in flight.
@@ -290,23 +310,79 @@ type run struct {
 
 	// cks is the bounded checkpoint ring: epoch 0 (the pristine input)
 	// is pinned, plus up to poplar.GuardRingEpochs recent epochs so
-	// certified rollback can walk past poisoned snapshots.
+	// certified rollback can walk past poisoned snapshots. Epochs
+	// evicted from the ring or discarded as poisoned wait in free, and
+	// the next checkpoint copies into their buffers.
 	cks       []*epoch
+	free      []*epoch
 	ckStep    int64 // fabric superstep of the newest checkpoint
 	needWrite bool  // state must be re-uploaded before resuming
 	lastFault *faultinject.FaultError
+
+	// zcol and zlen are the per-row zero index, HunIPU's compressed
+	// matrix on the host: row i's zero-slack columns, ascending, are
+	// zcol[i*n : i*n+zlen[i]]. It is derived from st.s and rebuilt for
+	// every row a write touches (indexRow), so step 4 visits candidate
+	// zeros instead of rescanning the whole slack, and checkpoints do
+	// not carry it.
+	zcol []int32
+	zlen []int
+
+	// path is step 5's alternating-path buffer, reused across augments.
+	path []cell
+}
+
+// cell is one (row, column) position of the slack matrix.
+type cell struct{ r, c int }
+
+// indexRow rebuilds row i's entry in the zero index from the slack.
+func (r *run) indexRow(i int) {
+	n := r.st.n
+	zc := r.zcol[i*n : (i+1)*n]
+	z := 0
+	for j, x := range r.st.s[i*n : (i+1)*n] {
+		if x == 0 {
+			zc[z] = int32(j)
+			z++
+		}
+	}
+	r.zlen[i] = z
+}
+
+// indexAll rebuilds the whole zero index (after a restore).
+func (r *run) indexAll() {
+	for i := 0; i < r.st.n; i++ {
+		r.indexRow(i)
+	}
+}
+
+// zeros returns row i's zero columns in ascending order.
+func (r *run) zeros(i int) []int32 {
+	lo := i * r.st.n
+	return r.zcol[lo : lo+r.zlen[i]]
 }
 
 // checkpointNow snapshots the state without consulting the schedule
 // (used for the free epoch-0 checkpoint of the pristine input). The
 // ring keeps epoch 0 pinned and evicts the oldest non-pinned epoch
-// beyond poplar.GuardRingEpochs.
+// beyond poplar.GuardRingEpochs; the snapshot reuses a spare epoch's
+// buffers when there is one.
 func (r *run) checkpointNow() {
-	r.cks = append(r.cks, &epoch{st: r.st.clone(), step: r.f.step})
-	for len(r.cks) > 1+poplar.GuardRingEpochs {
+	if len(r.cks) > poplar.GuardRingEpochs {
+		r.free = append(r.free, r.cks[1])
 		copy(r.cks[1:], r.cks[2:])
 		r.cks = r.cks[:len(r.cks)-1]
 	}
+	var ep *epoch
+	if k := len(r.free); k > 0 {
+		ep = r.free[k-1]
+		r.free = r.free[:k-1]
+	} else {
+		ep = &epoch{st: allocRunState(r.st.n)}
+	}
+	ep.st.copyFrom(r.st)
+	ep.step = r.f.step
+	r.cks = append(r.cks, ep)
 	r.ckStep = r.f.step
 	r.res.Checkpoints++
 }
@@ -336,15 +412,20 @@ func (r *run) maybeCheckpoint() error {
 	return nil
 }
 
-// restore rewinds the whole fabric to the newest checkpoint. The
-// supervisor copy is free; the re-upload of every chip's row block is
-// charged (and fault-checked) at the start of the next attempt, and
-// the shard checksums are re-baselined from the restored state.
+// restore rewinds the whole fabric to the newest checkpoint.
 func (r *run) restore() {
-	ep := r.cks[len(r.cks)-1]
-	r.st = ep.st.clone()
+	r.restoreFrom(r.cks[len(r.cks)-1])
+}
+
+// restoreFrom copies epoch ep into the live state. The supervisor copy
+// is free; the re-upload of every chip's row block is charged (and
+// fault-checked) at the start of the next attempt, and the zero index
+// and the shard checksums are rebuilt from the restored state.
+func (r *run) restoreFrom(ep *epoch) {
+	r.st.copyFrom(ep.st)
 	r.ckStep = ep.step
 	r.needWrite = true
+	r.indexAll()
 	r.g.rebaseline(r)
 }
 
@@ -511,6 +592,7 @@ func (r *run) initSteps() error {
 			r.setSlack(i*n+j, row[j]-m)
 		}
 		st.u[i] += m
+		r.indexRow(i)
 	}
 	if err := r.superstep(phaseCharge{phase: "shard:s1_cols", scan: true, gather: int64(n) * 8, scatter: int64(n) * 8}); err != nil {
 		return err
@@ -529,13 +611,14 @@ func (r *run) initSteps() error {
 		}
 		st.v[j] += m
 	}
+	r.indexAll()
 	if err := r.superstep(phaseCharge{phase: "shard:s2_star", scan: true, gatherPerRow: 16, scatter: int64(n) * 8}); err != nil {
 		return err
 	}
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if st.s[i*n+j] == 0 && st.starred[i] < 0 && st.colStar[j] < 0 {
-				st.starred[i] = j
+		for _, j := range r.zeros(i) {
+			if st.colStar[j] < 0 {
+				st.starred[i] = int(j)
 				st.colStar[j] = i
 				break
 			}
@@ -562,20 +645,23 @@ func (r *run) step3Cover() (bool, error) {
 
 // step4Scan searches every shard for an uncovered zero; candidates are
 // gathered and the globally first (row-major, so device-count
-// independent) wins.
+// independent) wins. The chips are charged a full scan of their
+// blocks; the host walks the zero index, which yields the same (i, j)
+// as a row-major scan of the slack.
+//
+//hunipulint:hotpath
 func (r *run) step4Scan() (int, int, bool, error) {
 	st := r.st
 	if err := r.superstep(phaseCharge{phase: "shard:s4_scan", scan: true, gather: 16, scatter: 24}); err != nil {
 		return 0, 0, false, err
 	}
-	n := st.n
-	for i := 0; i < n; i++ {
+	for i := 0; i < st.n; i++ {
 		if st.rowCov[i] {
 			continue
 		}
-		for j := 0; j < n; j++ {
-			if !st.colCov[j] && st.s[i*n+j] == 0 {
-				return i, j, true, nil
+		for _, j := range r.zeros(i) {
+			if !st.colCov[j] {
+				return i, int(j), true, nil
 			}
 		}
 	}
@@ -590,16 +676,16 @@ func (r *run) step5Augment(i, j int) error {
 	if err := r.superstep(phaseCharge{phase: "shard:s5_augment", cells: 2 * n, scatter: n * 4}); err != nil {
 		return err
 	}
-	type pos struct{ r, c int }
-	path := []pos{{i, j}}
+	path := append(r.path[:0], cell{i, j})
 	for {
 		sr := st.colStar[path[len(path)-1].c]
 		if sr < 0 {
 			break
 		}
-		path = append(path, pos{sr, path[len(path)-1].c})
-		path = append(path, pos{sr, st.primed[sr]})
+		path = append(path, cell{sr, path[len(path)-1].c})
+		path = append(path, cell{sr, st.primed[sr]})
 	}
+	r.path = path
 	for k, p := range path {
 		if k%2 == 0 { // primed zero → star it
 			st.starred[p.r] = p.c
@@ -620,22 +706,22 @@ func (r *run) step5Augment(i, j int) error {
 // gathered, δ broadcast) and applies the dual update: δ joins u on
 // uncovered rows and leaves v on covered columns, with the sharded
 // slack updated in place so slack ≡ input − u − v is preserved.
+//
+//hunipulint:hotpath
 func (r *run) step6Update() error {
 	st := r.st
 	n := st.n
 	if err := r.superstep(phaseCharge{phase: "shard:s6_min", scan: true, gather: 8, scatter: 8}); err != nil {
 		return err
 	}
+	colCov := st.colCov[:n]
 	min := -1.0
 	for i := 0; i < n; i++ {
 		if st.rowCov[i] {
 			continue
 		}
-		for j := 0; j < n; j++ {
-			if st.colCov[j] {
-				continue
-			}
-			if x := st.s[i*n+j]; min < 0 || x < min {
+		for j, x := range st.s[i*n : (i+1)*n] {
+			if !colCov[j] && (min < 0 || x < min) {
 				min = x
 			}
 		}
@@ -655,18 +741,47 @@ func (r *run) step6Update() error {
 	if err := r.superstep(phaseCharge{phase: "shard:s6_update", scan: true}); err != nil {
 		return err
 	}
+	// One pass per row: a covered row gains δ on its covered columns,
+	// an uncovered row loses it on its uncovered columns (x + (−δ) is
+	// x − δ bit for bit). Each written cell is hashed as setSlack would
+	// hash it, the old contribution from the stored value, and the
+	// row's checksum delta and charge go to its owner once. uint64 sums
+	// wrap, so the per-row total equals the per-cell one exactly. The
+	// row's zero list is rebuilt in the same pass.
+	armed := r.g.armed()
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			switch {
-			case st.rowCov[i] && st.colCov[j]:
-				r.setSlack(i*n+j, st.s[i*n+j]+min)
-			case !st.rowCov[i] && !st.colCov[j]:
-				r.setSlack(i*n+j, st.s[i*n+j]-min)
+		cov := st.rowCov[i]
+		add := -min
+		if cov {
+			add = min
+		}
+		lo := i * n
+		zc := r.zcol[lo : lo+n]
+		z := 0
+		var sum uint64
+		var hashed int64
+		for j, x := range st.s[lo : lo+n] {
+			if colCov[j] == cov {
+				v := x + add
+				if armed {
+					sum += poplar.GuardContribution(v, lo+j) - poplar.GuardContribution(x, lo+j)
+					hashed += 2
+				}
+				st.s[lo+j] = v
+				x = v
+			}
+			if x == 0 {
+				zc[z] = int32(j)
+				z++
 			}
 		}
-	}
-	for i := 0; i < n; i++ {
-		if !st.rowCov[i] {
+		r.zlen[i] = z
+		// Every row has a live owner: a solve stops before its fabric
+		// shrinks below MinDevices ≥ 1.
+		d := r.f.owner[i]
+		r.g.sums[d] += sum
+		r.g.pending[d] += hashed
+		if !cov {
 			st.u[i] += min
 		}
 	}
